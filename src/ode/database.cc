@@ -266,7 +266,25 @@ void Database::AcquireTriggerTimers(Oid oid, const TriggerProgram& program) {
 }
 
 Status Database::TouchObject(Transaction* txn, Oid oid, LockMode mode) {
-  ODE_RETURN_IF_ERROR(locks_.Acquire(txn->id(), oid, mode));
+  Status locked = locks_.Acquire(txn->id(), oid, mode);
+  if (locked.code() == StatusCode::kWouldBlock && !txn->is_system()) {
+    // A user transaction that conflicts only with system transactions —
+    // commit/abort epilogues and the sequencer's class-trigger firings,
+    // which run one action on another thread and never wait on a user
+    // transaction past a bound — waits them out instead of bouncing: a
+    // firing caused by an earlier, committed transaction must not fail
+    // the next one on the same object.
+    locked = AcquireBounded(txn->id(), oid, mode, [&] {
+      for (TxnId holder : locks_.HoldersOf(oid)) {
+        const Transaction* t = txns_.Get(holder);
+        if (holder != txn->id() && t != nullptr && !t->is_system()) {
+          return false;
+        }
+      }
+      return true;
+    });
+  }
+  ODE_RETURN_IF_ERROR(locked);
   if (txn->RecordAccess(oid) && !txn->is_system()) {
     // "The 'after tbegin' event is posted to an object only immediately
     // before the object is first accessed by the transaction" (§3.1).
@@ -285,14 +303,17 @@ Status Database::RunSystemTxn(const std::function<Status(Transaction*)>& fn) {
   // set_state — copy what the epilogue needs first.
   TxnId sys_id = sys->id();
   Status s = fn(sys);
+  std::vector<seq::SeqEvent> class_events = sys->TakeClassEvents();
   if (s.ok()) {
     sys->set_state(TxnState::kCommitted);
     locks_.Release(sys_id);
+    PublishClassEvents(std::move(class_events));
     return Status::OK();
   }
   // Roll the system transaction back. A trigger action aborting a *system*
   // transaction affects only that transaction; the user-level operation
-  // that spawned it has already completed (§5).
+  // that spawned it has already completed (§5). Its staged class-scope
+  // events are dropped with it.
   std::vector<UndoEntry> log = sys->TakeUndoLog();
   sys->set_state(TxnState::kAborted);
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
@@ -328,14 +349,22 @@ bool Database::AcquireEpilogueLock(TxnId sys, Oid oid) {
   // small sleep. A hold-out past the bound is a cooperative caller keeping
   // a transaction open across this commit (the legacy single-threaded
   // model, where posting unlocked is safe) — don't hang or fail on it.
+  return AcquireBounded(sys, oid, LockMode::kExclusive, [] { return true; })
+      .ok();
+}
+
+Status Database::AcquireBounded(TxnId txn, Oid oid, LockMode mode,
+                                const std::function<bool()>& keep_waiting) {
   constexpr int kMaxAttempts = 1000;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    Status s = locks_.Acquire(sys, oid, LockMode::kExclusive);
-    if (s.ok()) return true;
-    if (s.code() != StatusCode::kWouldBlock) return false;  // kDeadlock.
+  Status s = locks_.Acquire(txn, oid, mode);
+  // kDeadlock is final: waiting would close a cycle.
+  for (int attempt = 1; attempt < kMaxAttempts &&
+                        s.code() == StatusCode::kWouldBlock && keep_waiting();
+       ++attempt) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
+    s = locks_.Acquire(txn, oid, mode);
   }
-  return false;
+  return s;
 }
 
 Status Database::CommitInternal(Transaction* txn, CommitOutcome* outcome) {
@@ -386,10 +415,12 @@ Status Database::CommitInternal(Transaction* txn, CommitOutcome* outcome) {
   // transaction is eligible for TxnManager::GarbageCollect.
   std::vector<Oid> accessed = txn->accessed();
   TxnId committed_id = txn->id();
+  std::vector<seq::SeqEvent> class_events = txn->TakeClassEvents();
   txn->set_state(TxnState::kCommitted);
   txns_.CountCommit();
   locks_.Release(committed_id);
   if (outcome != nullptr) *outcome = CommitOutcome::kCommitted;
+  PublishClassEvents(std::move(class_events));
 
   // `after tcommit` events are posted by a system transaction (§5); any
   // actions they fire execute as part of that transaction. The system
@@ -415,6 +446,14 @@ Status Database::CommitInternal(Transaction* txn, CommitOutcome* outcome) {
     *outcome = CommitOutcome::kEpilogueFailed;
   }
   return epilogue;
+}
+
+void Database::PublishClassEvents(std::vector<seq::SeqEvent> events) {
+  if (events.empty()) return;
+  seq::Sequencer* sequencer = this->sequencer();
+  if (sequencer == nullptr) return;  // Detached since the posting.
+  seq::Sequencer::PublishScope publish_scope(sequencer);
+  for (seq::SeqEvent& event : events) sequencer->Publish(std::move(event));
 }
 
 Status Database::Abort(TxnId txn_id) {
@@ -443,6 +482,9 @@ Status Database::AbortInternal(Transaction* txn) {
   std::vector<UndoEntry> log = txn->TakeUndoLog();
   std::vector<Oid> accessed = txn->accessed();
   TxnId aborted_id = txn->id();
+  // Class-scope events staged by this transaction (`before tabort`
+  // included) never reach the sequencer.
+  (void)txn->TakeClassEvents();
   txn->set_state(TxnState::kAborted);
 
   // Undo in reverse order: attributes, trigger states (committed view),

@@ -400,6 +400,11 @@ class Database {
   Status AbortInternal(Transaction* txn);
   Status CommitInternal(Transaction* txn, CommitOutcome* outcome = nullptr);
 
+  /// Hands a committed transaction's staged class-scope events to the
+  /// sequencer in posting order. Called after the transaction's locks are
+  /// released, so the firing transaction never waits on the poster.
+  void PublishClassEvents(std::vector<seq::SeqEvent> events);
+
   /// Acquires an exclusive lock on `oid` for the commit/abort epilogue's
   /// system transaction, spinning briefly while a (short-lived) shard
   /// transaction holds the object. Returns false when the lock could not
@@ -408,6 +413,11 @@ class Database {
   /// epilogue posts unlocked, the pre-existing (single-thread-safe)
   /// behavior.
   bool AcquireEpilogueLock(TxnId sys, Oid oid);
+
+  /// Locks `oid` for `txn`, retrying a conflict for the epilogue lock's
+  /// bound while `keep_waiting()` holds; otherwise the no-wait outcome.
+  Status AcquireBounded(TxnId txn, Oid oid, LockMode mode,
+                        const std::function<bool()>& keep_waiting);
 
   /// Applies one undo entry (reverse order during abort).
   Status ApplyUndo(const UndoEntry& entry);

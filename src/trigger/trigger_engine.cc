@@ -389,7 +389,9 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
   // the class. With a sequencer attached (the runtime's ingestion path),
   // the shard does only the per-event work that needs the posting object —
   // mask classification, evaluated here while the poster still owns the
-  // object — and publishes a SeqEvent; the dedicated sequencer thread owns
+  // object — and stages a SeqEvent on the posting transaction, which
+  // publishes it once it commits and drops it if it aborts (a post with
+  // no transaction publishes at once); the dedicated sequencer thread owns
   // all slot advancement and firing in its deterministic merge order
   // (docs/SEQUENCER.md). Without a sequencer, and for action cascades on
   // the sequencer thread itself (a cascaded event is a synchronous child
@@ -441,7 +443,11 @@ Result<int> TriggerEngine::Post(Transaction* txn, Oid oid, PostedEvent event) {
     // with the order log's watermarks (docs/SEQUENCER.md).
     if (!sev.syms.empty()) {
       sev.event = event;
-      sequencer->Publish(std::move(sev));
+      if (txn != nullptr) {
+        txn->StageClassEvent(std::move(sev));
+      } else {
+        sequencer->Publish(std::move(sev));
+      }
     }
   } else if (class_slots != nullptr) {
     class_lock =

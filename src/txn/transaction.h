@@ -7,12 +7,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
 #include "event/posted_event.h"
 #include "ode/object.h"
+#include "seq/seq_event.h"
 
 namespace ode {
 
@@ -83,6 +85,18 @@ class Transaction {
   void AddCommitDependency(TxnId other) { commit_deps_.insert(other); }
   const std::set<TxnId>& commit_deps() const { return commit_deps_; }
 
+  /// Class-scope events (§9) classified while this transaction posted
+  /// them, held back from the sequencer until the outcome is known: the
+  /// commit path publishes them in posting order, the abort path drops
+  /// them, so class automata see committed postings only
+  /// (docs/SEQUENCER.md).
+  void StageClassEvent(seq::SeqEvent event) {
+    class_events_.push_back(std::move(event));
+  }
+  std::vector<seq::SeqEvent> TakeClassEvents() {
+    return std::exchange(class_events_, {});
+  }
+
  private:
   TxnId id_;
   bool system_;
@@ -92,6 +106,7 @@ class Transaction {
   std::set<Oid> accessed_set_;
   std::vector<UndoEntry> undo_log_;
   std::set<TxnId> commit_deps_;
+  std::vector<seq::SeqEvent> class_events_;
 };
 
 /// Allocates transaction ids and stores live/finished transactions.

@@ -699,12 +699,16 @@ TEST(IngestRuntimeTest, ClassTriggerUnderMpscLoad) {
   opts.num_shards = 4;
   opts.max_batch = 16;
   opts.queue_capacity = 256;
-  // Every worker contends on the shared class slot, so a slow box (TSan on
-  // few cores) can make one event lose the deadlock-abort lottery four
+  // The class slot itself is advanced by the sequencer thread alone; the
+  // contention is for object locks: each firing's transaction locks the
+  // posting object to run `count`, while that object's shard keeps
+  // posting to it. A shard batch waits a firing out only for a bounded
+  // time, so on a slow box (TSan on few cores) one event can bounce four
   // times in a row; the default budget of 3 retries then dead-letters it
   // and the exact-count assertions below go off by one. The exactness is
-  // what this test is about — buy enough retries that a loser always
-  // eventually wins (backoff doubles, so 8 retries ≈ 12ms of yielding).
+  // what this test is about — buy enough retries that a bounced event
+  // always eventually lands (backoff doubles, so 8 retries ≈ 12ms of
+  // yielding).
   opts.error_policy.max_retries = 8;
   IngestRuntime rt(&db, opts);
   ODE_ASSERT_OK(rt.Start());

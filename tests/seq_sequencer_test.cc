@@ -109,6 +109,42 @@ TEST(SequencerTest, ClassTriggerFiresThroughSequencer) {
   db.DetachSequencer();
 }
 
+// Class-scope events are staged on the posting transaction and published
+// at its commit: an aborted transaction — like a runtime batch rolled back
+// before its events are replayed one by one — leaves the class automata
+// untouched, so the replay cannot step them twice.
+TEST(SequencerTest, AbortedTransactionPublishesNoClassEvents) {
+  Database db;
+  SetUpClass(&db);
+  Oid oid = MakeObject(&db);
+  ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
+
+  seq::Sequencer::Options options;
+  options.num_lanes = 2;
+  seq::Sequencer sequencer(&db, options);
+  db.AttachSequencer(&sequencer);
+  ODE_ASSERT_OK(sequencer.Start());
+
+  TxnId aborted = db.Begin().value();
+  ODE_ASSERT_OK(db.Call(aborted, oid, "add", {Value(1)}).status());
+  ODE_ASSERT_OK(db.Abort(aborted));
+  sequencer.WaitDrained();
+  EXPECT_EQ(sequencer.Metrics().published, 0u);
+  EXPECT_EQ(db.ClassFireCount("scell", "CT"), 0u);
+
+  PostAdds(&db, oid, 3);
+  sequencer.WaitDrained();
+  seq::SequencerMetricsSnapshot m = sequencer.Metrics();
+  EXPECT_EQ(m.published, 3u);
+  EXPECT_EQ(m.sequenced, 3u);
+  EXPECT_EQ(m.firings, 1u);
+  EXPECT_EQ(db.ClassFireCount("scell", "CT"), 1u);
+  EXPECT_EQ(db.PeekAttr(oid, "touches").value().AsInt().value(), 1);
+
+  sequencer.Stop();
+  db.DetachSequencer();
+}
+
 TEST(SequencerTest, LaneWatermarksTrackPerLanePublishes) {
   Database db;
   SetUpClass(&db);
