@@ -2,7 +2,8 @@
 // (IngestClient → TCP → IngestServer → IngestRuntime) as a function of
 // shard count and worker batch size, against the in-process Post() path
 // as the baseline. The wire protocol's pipelining (buffered POSTs,
-// cumulative ACKs roughly every 1024 accepted posts) is what keeps the
+// cumulative ACKs every 1024 accepted posts inside a burst, plus one idle
+// ACK whenever a connection's replies are flushed) is what keeps the
 // network path within shouting distance of in-process ingest; the
 // acceptance bar (BENCH_net_ingest.json, compared against
 // BENCH_ingest.json by bench/run_ingest_bench.sh) is >= 50% of the

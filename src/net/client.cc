@@ -221,7 +221,10 @@ Status IngestClient::PumpReplies(bool block, uint64_t wait_seq,
       decoder_.Append(chunk, static_cast<size_t>(n));
       continue;
     }
-    if (n == 0) {
+    // After ERR_SHUTTING_DOWN a reset is the server's close too: it closes
+    // with our later frames unread (reads are masked once it is closing),
+    // and the kernel sends RST instead of FIN.
+    if (n == 0 || (errno == ECONNRESET && server_shutting_down_)) {
       Close();
       if (!block || *saw_wait_seq) return Status::OK();
       return server_shutting_down_

@@ -248,6 +248,15 @@ void IngestServer::WorkerLoop(Worker* w) {
         if (alive && conn->out_pos < conn->out.size()) {
           alive = FlushWrites(conn);
         }
+        // Idle ACK: once every reply is on the wire, confirm the posts
+        // accepted since the last ACK now rather than at the next
+        // ack_every boundary. Only into an empty buffer, so a peer that
+        // does not read its replies piles up nothing extra.
+        if (alive && !conn->closing && conn->accepted_since_ack > 0 &&
+            conn->out_pos == conn->out.size()) {
+          MaybeAck(conn, /*force=*/true);
+          alive = FlushWrites(conn);
+        }
       }
       // A closing connection dies once its replies are flushed and no
       // drain barrier is still in flight for it. Parked frames on a

@@ -26,9 +26,12 @@ struct ServerOptions {
   uint16_t port = 0;
   int backlog = 64;
   size_t max_connections = 256;
-  /// Cumulative-ACK cadence: one kAck frame per this many accepted posts
-  /// (plus one before every kDrainOk). Lower = tighter client retry
-  /// buffers, higher = fewer reply bytes.
+  /// Cumulative-ACK cadence inside a burst: one kAck frame per this many
+  /// accepted posts (plus one before every kDrainOk and kErr). Between
+  /// bursts the idle ACK confirms the rest: an IO worker round that leaves
+  /// a connection with no unsent reply bytes appends one kAck for the posts
+  /// accepted since the last one. Lower = tighter client retry buffers
+  /// inside a burst, higher = fewer reply bytes.
   uint64_t ack_every = 1024;
   /// A connection whose pending reply bytes exceed this is dropped — it is
   /// not reading its errors/acks. (A closing connection still gets one

@@ -12,6 +12,7 @@
 // ping, and client reconnect.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <stdlib.h>
 #include <sys/socket.h>
 
@@ -278,6 +279,51 @@ TEST(NetE2eTest, ShutdownHandshake) {
   EXPECT_FALSE(client.connected());
 }
 
+// The ShutdownHandshake race, scripted: a peer standing in for a closing
+// server answers the post with ERR_SHUTTING_DOWN and closes with the
+// client's DRAIN still unread, so the kernel resets the connection instead
+// of sending FIN. The client reads the ERR before the reset, so it must
+// still report kShutdown, not a lost connection.
+TEST(NetE2eTest, ResetAfterShuttingDownErrIsShutdown) {
+  Result<Socket> listener = TcpListen("127.0.0.1", 0, 1);
+  ODE_ASSERT_OK(listener.status());
+  Result<uint16_t> port = LocalPort(listener->fd());
+  ODE_ASSERT_OK(port.status());
+  const Oid oid{1};
+  std::string post;
+  ODE_ASSERT_OK(AppendPost(&post, 1, oid, "add", {Value(1)}));
+
+  std::thread peer([&] {
+    std::string name;
+    Result<Socket> conn = Accept(listener->fd(), &name);
+    ODE_ASSERT_OK(conn.status());
+    // Read exactly the POST, so the DRAIN behind it stays unread.
+    std::string got(post.size(), '\0');
+    ASSERT_EQ(::recv(conn->fd(), got.data(), got.size(), MSG_WAITALL),
+              static_cast<ssize_t>(got.size()));
+    EXPECT_EQ(got, post);
+    std::string reply;
+    AppendErr(&reply, 1, WireError::kShuttingDown, "runtime stopped");
+    ASSERT_EQ(::send(conn->fd(), reply.data(), reply.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(reply.size()));
+    pollfd drain_queued{conn->fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&drain_queued, 1, 30000), 1);
+    // `conn` closes here with the DRAIN unread: RST, not FIN.
+  });
+
+  ClientOptions client_options;
+  client_options.port = *port;
+  client_options.recv_timeout_ms = 30000;
+  client_options.auto_reconnect = false;
+  IngestClient client(client_options);
+  ODE_ASSERT_OK(client.Connect());
+  ODE_ASSERT_OK(client.Post(oid, "add", {Value(1)}));
+  Status s = client.Drain();
+  peer.join();
+  EXPECT_EQ(s.code(), StatusCode::kShutdown) << s.ToString();
+  EXPECT_FALSE(client.connected());
+}
+
 // Garbage bytes on a raw socket: the server answers with one
 // ERR_MALFORMED frame and closes the connection.
 TEST(NetE2eTest, MalformedFrameGetsErrAndClose) {
@@ -428,27 +474,42 @@ class TempDir {
   std::string path_;
 };
 
-/// Posts `n` add(1)s to `oid` and waits until the runtime has accepted
-/// them all, WITHOUT draining — the server's cumulative-ACK cadence
-/// (default every 1024) means the client still holds every post unacked,
-/// which is exactly the duplicate-delivery hazard on reconnect.
-void PostUnacked(IngestClient* client, IngestRuntime* rt, Oid oid, int n,
-                 uint64_t expect_enqueued) {
-  for (int i = 0; i < n; ++i) {
-    ODE_ASSERT_OK(client->Post(oid, "add", {Value(1)}));
-  }
-  ODE_ASSERT_OK(client->Flush());
+/// Waits until the runtime has accepted `expect_enqueued` posts in total.
+void WaitEnqueued(IngestRuntime* rt, uint64_t expect_enqueued) {
   for (int spin = 0; spin < 500; ++spin) {
     if (rt->Metrics().total.enqueued >= expect_enqueued) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_GE(rt->Metrics().total.enqueued, expect_enqueued);
-  EXPECT_EQ(client->stats().acked, 0u);
+}
+
+/// The first session of producer `identity`, cut before it learns of any
+/// ACK: on a raw socket that never reads its replies, sends the HELLO
+/// (seq 1) and `n` add(1)s to `oid` under seqs 2..n+1 — the seqs an
+/// IngestClient with that identity gives its first n posts — and waits
+/// until the runtime has accepted them. The server ACKs them; nobody
+/// reads the ACK. `*sock` keeps the session open until the server goes.
+void PostUnacked(uint16_t port, const std::string& identity,
+                 IngestRuntime* rt, Oid oid, int n, uint64_t expect_enqueued,
+                 Socket* sock) {
+  Result<Socket> dialed = TcpConnect("127.0.0.1", port);
+  ODE_ASSERT_OK(dialed.status());
+  *sock = std::move(dialed).value();
+  std::string wire;
+  ODE_ASSERT_OK(AppendHello(&wire, 1, identity));
+  for (int i = 0; i < n; ++i) {
+    ODE_ASSERT_OK(AppendPost(&wire, static_cast<uint64_t>(i) + 2, oid, "add",
+                             {Value(1)}));
+  }
+  ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  WaitEnqueued(rt, expect_enqueued);
 }
 
 // A client with a durable identity replays its unacked pipeline across a
 // server swap; the server's applied-seq snapshot recognizes every replayed
-// seq and ACKs without re-posting — exactly-once with no WAL involved.
+// seq that an earlier session got applied and ACKs it without re-posting —
+// exactly-once with no WAL involved.
 TEST(NetE2eTest, IdentityDedupsReplayAcrossServerSwap) {
   Database db;
   std::vector<Oid> oids = SetupParityDb(&db, 4);
@@ -464,10 +525,15 @@ TEST(NetE2eTest, IdentityDedupsReplayAcrossServerSwap) {
   client_options.max_reconnect_attempts = 20;
   client_options.reconnect_backoff = std::chrono::milliseconds(50);
   client_options.identity = "e2e-swap-client";
+  constexpr int kFirst = 10;
+  Socket first_session;
+  ASSERT_NO_FATAL_FAILURE(PostUnacked(port, client_options.identity, &rt,
+                                      oids[0], kFirst, kFirst,
+                                      &first_session));
+  // The producer's client dials server1 too, but sends nothing before
+  // the swap cuts the connection.
   IngestClient client(client_options);
   ODE_ASSERT_OK(client.Connect());
-  constexpr int kFirst = 10;
-  PostUnacked(&client, &rt, oids[0], kFirst, kFirst);
 
   // Swap servers: the applied posts are gone from no one's memory — the
   // runtime keeps the identity's applied set.
@@ -480,7 +546,11 @@ TEST(NetE2eTest, IdentityDedupsReplayAcrossServerSwap) {
   }());
   ODE_ASSERT_OK(server2.Start());
 
-  ODE_ASSERT_OK(client.Post(oids[0], "add", {Value(1)}));
+  // The client's pipeline: the first session's kFirst posts (same seqs,
+  // never acked to the producer) plus one new post.
+  for (int i = 0; i < kFirst + 1; ++i) {
+    ODE_ASSERT_OK(client.Post(oids[0], "add", {Value(1)}));
+  }
   Status s;
   for (int attempt = 0; attempt < 10; ++attempt) {
     s = client.Drain();
@@ -517,11 +587,15 @@ TEST(NetE2eTest, StopFlushedAcksKeepReplayExactlyOnce) {
   IngestClient client(client_options);
   ODE_ASSERT_OK(client.Connect());
   constexpr int kFirst = 10;
-  PostUnacked(&client, &rt, oids[0], kFirst, kFirst);
+  for (int i = 0; i < kFirst; ++i) {
+    ODE_ASSERT_OK(client.Post(oids[0], "add", {Value(1)}));
+  }
+  ODE_ASSERT_OK(client.Flush());
+  ASSERT_NO_FATAL_FAILURE(WaitEnqueued(&rt, kFirst));
 
-  // Stop() sends the watermark before closing (the data precedes the FIN,
-  // so one reply pump is enough); the ACK empties the client's unacked
-  // pipeline.
+  // When Stop() returns the watermark is on the wire — sent by the idle
+  // ACK or, failing that, by Stop() itself — ahead of the FIN, so one
+  // reply pump is enough; the ACK empties the client's unacked pipeline.
   server1->Stop();
   server1.reset();
   ODE_ASSERT_OK(client.Flush());
@@ -579,10 +653,15 @@ TEST(NetE2eTest, ExactlyOnceAcrossServerRestartWithWal) {
   port = server1->port();
 
   client_options.port = port;
+  Socket first_session;
+  ASSERT_NO_FATAL_FAILURE(PostUnacked(port, client_options.identity,
+                                      rt1.get(), oids[0], kFirst, kFirst,
+                                      &first_session));
+  ODE_ASSERT_OK(rt1->Drain());  // Server-side: process what arrived.
+  // The producer's client dials server1 and sends nothing before the
+  // restart cuts the connection.
   IngestClient client(client_options);
   ODE_ASSERT_OK(client.Connect());
-  PostUnacked(&client, rt1.get(), oids[0], kFirst, kFirst);
-  ODE_ASSERT_OK(rt1->Drain());  // Server-side: process what arrived.
 
   // "Restart": tear down the whole process state except the WAL dir.
   // (Stop() fsyncs; the kill-without-fsync case is wal_crash_test's.)
@@ -605,9 +684,10 @@ TEST(NetE2eTest, ExactlyOnceAcrossServerRestartWithWal) {
   }());
   ODE_ASSERT_OK(server2.Start());
 
-  // The client never saw an ACK for its first pipeline: on the next
-  // Drain it reconnects, HELLOs, and replays all kFirst + kSecond posts.
-  for (int i = 0; i < kSecond; ++i) {
+  // The producer never saw an ACK for its first kFirst posts: its client
+  // holds them (same seqs) plus kSecond new ones, and on the next Drain it
+  // reconnects, HELLOs, and replays all kFirst + kSecond posts.
+  for (int i = 0; i < kFirst + kSecond; ++i) {
     ODE_ASSERT_OK(client.Post(oids2[0], "add", {Value(1)}));
   }
   Status s;

@@ -3,15 +3,20 @@
 // parks only the posting connection), and the server edge cases fixed
 // alongside the threading rework — non-blocking connection-limit
 // rejection, the malformed-frame ERR surviving a full write buffer, and
-// Stop() flushing each connection's earned ACK watermark.
+// Stop() flushing each connection's earned ACK watermark — and the idle
+// ACK: posts are confirmed once a connection's replies are flushed, never
+// beyond the last accepted post.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <stdlib.h>
 #include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -237,10 +242,19 @@ struct Latch {
   std::mutex mu;
   std::condition_variable cv;
   bool open = false;
+  int waiting = 0;  ///< Shard workers parked in Wait().
 
   void Wait() {
     std::unique_lock<std::mutex> lock(mu);
+    ++waiting;
+    cv.notify_all();
     cv.wait(lock, [&] { return open; });
+    --waiting;
+  }
+  /// Blocks until a shard worker is parked in Wait().
+  void AwaitWaiter() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return waiting > 0; });
   }
   void Open() {
     std::lock_guard<std::mutex> lock(mu);
@@ -275,6 +289,30 @@ ClassDef GateClass(Latch* latch) {
         return ctx->Set("v", next);
       }});
   return def;
+}
+
+/// Reads reply frames from a raw socket into `on_frame` until it returns
+/// true (then true), or until `timeout_ms` pass or the peer closes (then
+/// false).
+bool ReadUntil(int fd, FrameDecoder* decoder, int timeout_ms,
+               const std::function<bool(const Frame&)>& on_frame) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  Frame frame;
+  char chunk[64 * 1024];
+  while (true) {
+    while (decoder->Next(&frame) == FrameDecoder::State::kFrame) {
+      if (on_frame(frame)) return true;
+    }
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) return false;
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    decoder->Append(chunk, static_cast<size_t>(n));
+  }
 }
 
 // The head-of-line regression test: with kBlock backpressure and a wedged
@@ -504,9 +542,9 @@ TEST(NetMtTest, MalformedFrameErrSurvivesFullWriteBuffer) {
 }
 
 // Regression: Stop() must flush each connection's earned-but-unsent ACK
-// watermark before closing. With the default ack cadence (1024) nothing
-// has been acked mid-session, so the watermark rides entirely on the
-// shutdown flush.
+// watermark before closing. The idle ACK usually delivers the watermark
+// before Stop() runs; whichever path sends it, the peer must hold the full
+// watermark when it sees EOF.
 TEST(NetMtTest, StopFlushesEarnedAckWatermark) {
   constexpr uint64_t kPosts = 5;
   Rig rig;
@@ -545,6 +583,238 @@ TEST(NetMtTest, StopFlushesEarnedAckWatermark) {
   }
   EXPECT_TRUE(closed);
   EXPECT_EQ(ack_watermark, kPosts) << "Stop() stranded the ACK watermark";
+}
+
+// The idle ACK: a lone post, with no DRAIN and nothing posted after it,
+// is acknowledged as soon as the worker has flushed the connection's
+// replies — not after ack_every (1024) posts.
+TEST(NetMtTest, IdleAckConfirmsALonePost) {
+  Rig rig({}, 4);
+  Result<Socket> sock = TcpConnect("127.0.0.1", rig.server.port());
+  ODE_ASSERT_OK(sock.status());
+  std::string wire;
+  ODE_ASSERT_OK(AppendPost(&wire, 1, rig.oids[0], "add", {Value(1)}));
+  ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+
+  FrameDecoder decoder;
+  uint64_t acked = 0;
+  EXPECT_TRUE(ReadUntil(sock->fd(), &decoder, 5000, [&](const Frame& f) {
+    EXPECT_EQ(f.type, FrameType::kAck);
+    acked = f.seq;
+    return f.type == FrameType::kAck;
+  })) << "no ACK within 5 s for a lone post";
+  EXPECT_EQ(acked, 1u);
+}
+
+// The idle ACK goes only into an empty write buffer. A peer that does not
+// read floods PINGs until its PONGs back up in the server's write buffer,
+// then posts one frame at a time (each handled in a round of its own).
+// While replies are pending no idle ACK is added, so once the peer reads,
+// one ACK covering every post arrives after the last PONG — not one ACK
+// per round.
+TEST(NetMtTest, IdleAckWaitsForAnEmptyWriteBuffer) {
+  constexpr uint64_t kPosts = 5;
+  ServerOptions server_options;
+  server_options.max_write_buffer = 64 * 1024 * 1024;
+  Rig rig({}, 4, server_options);
+
+  // The PONGs must outgrow what the kernel buffers: the peer's receive
+  // buffer (locked small below) plus the server's send buffer, which
+  // grows up to tcp_wmem's maximum.
+  size_t wmem_max = 4 * 1024 * 1024;
+  {
+    std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+    size_t lo = 0, def = 0, hi = 0;
+    if (in >> lo >> def >> hi) wmem_max = hi;
+  }
+  std::string ping;
+  AppendPing(&ping, 0);
+  const size_t kPings = (wmem_max + (2u << 20)) / ping.size();
+
+  Result<Socket> sock = TcpConnect("127.0.0.1", rig.server.port());
+  ODE_ASSERT_OK(sock.status());
+  int rcvbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(sock->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+
+  std::string wire;
+  for (size_t i = 0; i < kPings; ++i) AppendPing(&wire, kPosts + 1 + i);
+  ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  for (uint64_t seq = 1; seq <= kPosts; ++seq) {
+    wire.clear();
+    ODE_ASSERT_OK(AppendPost(&wire, seq, rig.oids[0], "add", {Value(1)}));
+    ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    for (int spin = 0; spin < 2000 && rig.rt.Metrics().total.enqueued < seq;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(rig.rt.Metrics().total.enqueued, seq);
+  }
+
+  FrameDecoder decoder;
+  size_t pongs = 0;
+  size_t pongs_before_ack = 0;
+  std::vector<uint64_t> acks;
+  EXPECT_TRUE(ReadUntil(sock->fd(), &decoder, 30000, [&](const Frame& f) {
+    if (f.type == FrameType::kPong) {
+      ++pongs;
+    } else {
+      EXPECT_EQ(f.type, FrameType::kAck);
+      if (acks.empty()) pongs_before_ack = pongs;
+      acks.push_back(f.seq);
+    }
+    return !acks.empty() && pongs == kPings;
+  }));
+  EXPECT_EQ(pongs, kPings);
+  EXPECT_EQ(pongs_before_ack, kPings) << "an ACK overtook pending PONGs";
+  // A second ACK would be right behind the first; give it time to show.
+  ReadUntil(sock->fd(), &decoder, 300, [&](const Frame& f) {
+    acks.push_back(f.seq);
+    return false;
+  });
+  EXPECT_EQ(acks, std::vector<uint64_t>{kPosts})
+      << "idle ACKs were added while replies were pending";
+}
+
+// The idle ACK never covers a parked post. The victim shard is wedged
+// (the FullShardParksOnlyThePostingConnection setup) and the overflow
+// sits in the connection's deferred queue; every ACK meanwhile stays
+// within the posts the runtime has accepted. Once the wedge opens, the
+// idle ACK covers them all without a DRAIN.
+TEST(NetMtTest, IdleAckNeverCoversAParkedPost) {
+  constexpr uint64_t kGatePosts = 30;
+
+  Latch latch;
+  Database db;
+  ASSERT_TRUE(db.RegisterClass(GateClass(&latch)).status().ok());
+  TxnId t = db.Begin().value();
+  Oid victim_oid = db.New(t, "gcell").value();
+  ODE_ASSERT_OK(db.Commit(t));
+
+  IngestOptions ingest_options;
+  ingest_options.num_shards = 1;
+  ingest_options.queue_capacity = 8;
+  ingest_options.max_batch = 4;
+  ingest_options.backpressure = BackpressurePolicy::kBlock;
+  IngestRuntime rt(&db, ingest_options);
+  ODE_ASSERT_OK(rt.Start());
+  ServerOptions server_options;
+  server_options.max_deferred_frames = 8;
+  IngestServer server(&rt, server_options);
+  ODE_ASSERT_OK(server.Start());
+
+  Result<Socket> sock = TcpConnect("127.0.0.1", server.port());
+  ODE_ASSERT_OK(sock.status());
+  std::string wire;
+  for (uint64_t seq = 1; seq <= kGatePosts; ++seq) {
+    ODE_ASSERT_OK(AppendPost(&wire, seq, victim_oid, "gate", {}));
+  }
+  ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  for (int spin = 0; spin < 2000 && server.frames_deferred() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(server.frames_deferred(), 0u) << "full shard never parked a frame";
+
+  // Several poll timeouts' worth of retry rounds while the wedge holds.
+  FrameDecoder decoder;
+  uint64_t watermark = 0;
+  ReadUntil(sock->fd(), &decoder, 700, [&](const Frame& f) {
+    EXPECT_EQ(f.type, FrameType::kAck);
+    EXPECT_LE(f.seq, rt.Metrics().total.enqueued) << "ACK covers a parked post";
+    watermark = f.seq;
+    return false;
+  });
+  const uint64_t accepted = rt.Metrics().total.enqueued;
+  EXPECT_LT(accepted, kGatePosts);
+  EXPECT_EQ(watermark, accepted) << "the accepted prefix was not idle-ACKed";
+
+  latch.Open();
+  EXPECT_TRUE(ReadUntil(sock->fd(), &decoder, 30000, [&](const Frame& f) {
+    EXPECT_EQ(f.type, FrameType::kAck);
+    watermark = f.seq;
+    return watermark == kGatePosts;
+  })) << "stopped at ACK " << watermark;
+  ODE_ASSERT_OK(rt.Drain());
+  EXPECT_EQ(db.PeekAttr(victim_oid, "v").value().AsInt().value(),
+            static_cast<int64_t>(kGatePosts));
+  server.Stop();
+  ODE_ASSERT_OK(rt.Stop());
+}
+
+// The idle ACK never covers an ERRed post: with kReject and the shard
+// wedged, the posts that do not fit the queue get ERR_WOULD_BLOCK, and no
+// ACK reaches past the last accepted post.
+TEST(NetMtTest, IdleAckNeverCoversARejectedPost) {
+  constexpr uint64_t kGatePosts = 30;
+  constexpr uint64_t kQueue = 8;
+
+  Latch latch;
+  Database db;
+  ASSERT_TRUE(db.RegisterClass(GateClass(&latch)).status().ok());
+  TxnId t = db.Begin().value();
+  Oid victim_oid = db.New(t, "gcell").value();
+  ODE_ASSERT_OK(db.Commit(t));
+
+  IngestOptions ingest_options;
+  ingest_options.num_shards = 1;
+  ingest_options.queue_capacity = kQueue;
+  ingest_options.backpressure = BackpressurePolicy::kReject;
+  IngestRuntime rt(&db, ingest_options);
+  ODE_ASSERT_OK(rt.Start());
+  IngestServer server(&rt);
+  ODE_ASSERT_OK(server.Start());
+
+  // The first gate post wedges the shard worker; the rest follow once it
+  // is parked, so the queue takes exactly the next kQueue of them.
+  Result<Socket> sock = TcpConnect("127.0.0.1", server.port());
+  ODE_ASSERT_OK(sock.status());
+  std::string wire;
+  ODE_ASSERT_OK(AppendPost(&wire, 1, victim_oid, "gate", {}));
+  ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  latch.AwaitWaiter();
+  wire.clear();
+  for (uint64_t seq = 2; seq <= kGatePosts; ++seq) {
+    ODE_ASSERT_OK(AppendPost(&wire, seq, victim_oid, "gate", {}));
+  }
+  ASSERT_EQ(::send(sock->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+
+  FrameDecoder decoder;
+  uint64_t watermark = 0;
+  uint64_t first_err = 0;
+  uint64_t errs = 0;
+  EXPECT_TRUE(ReadUntil(sock->fd(), &decoder, 30000, [&](const Frame& f) {
+    if (f.type == FrameType::kAck) {
+      EXPECT_TRUE(first_err == 0 || f.seq < first_err)
+          << "ACK " << f.seq << " covers ERRed post " << first_err;
+      watermark = f.seq;
+    } else {
+      EXPECT_EQ(f.type, FrameType::kErr);
+      EXPECT_EQ(f.error, WireError::kWouldBlock);
+      if (first_err == 0) first_err = f.seq;
+      ++errs;
+    }
+    return errs == kGatePosts - 1 - kQueue;
+  }));
+  // Nothing is accepted after the queue fills, so no ACK follows the ERRs.
+  ReadUntil(sock->fd(), &decoder, 300, [&](const Frame& f) {
+    ADD_FAILURE() << "unexpected " << FrameTypeName(f.type) << " " << f.seq;
+    return false;
+  });
+  EXPECT_EQ(rt.Metrics().total.enqueued, 1 + kQueue);
+  EXPECT_EQ(watermark, 1 + kQueue);
+  EXPECT_EQ(first_err, 2 + kQueue);
+
+  latch.Open();
+  ODE_ASSERT_OK(rt.Drain());
+  server.Stop();
+  ODE_ASSERT_OK(rt.Stop());
 }
 
 }  // namespace
