@@ -235,7 +235,9 @@ std::vector<std::string> Alphabet::SymbolNames() const {
       std::string name = g.spec.ToString();
       for (size_t i = 0; i < g.masks.size(); ++i) {
         name += ((combo >> i) & 1) ? " && " : " && !";
-        name += "(" + g.masks[i].mask->ToString() + ")";
+        name += '(';
+        name += g.masks[i].mask->ToString();
+        name += ')';
       }
       names[g.base + combo] = std::move(name);
     }

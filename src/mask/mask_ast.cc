@@ -96,12 +96,18 @@ std::string MaskExpr::ToString() const {
     }
     case MaskKind::kUnary:
       return std::string(MaskOpName(op)) + children[0]->ToString();
-    case MaskKind::kBinary:
+    case MaskKind::kBinary: {
       // Fully parenthesized canonical form: identity is unambiguous and the
       // text re-parses to an equal tree.
-      return "(" + children[0]->ToString() + " " +
-             std::string(MaskOpName(op)) + " " + children[1]->ToString() +
-             ")";
+      std::string out = "(";
+      out += children[0]->ToString();
+      out += ' ';
+      out += MaskOpName(op);
+      out += ' ';
+      out += children[1]->ToString();
+      out += ')';
+      return out;
+    }
   }
   return "?";
 }

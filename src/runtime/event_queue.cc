@@ -20,8 +20,10 @@ EventQueue::EventQueue(size_t capacity)
 }
 
 EventQueue::PushResult EventQueue::PushLocked(
-    std::unique_lock<std::mutex>& lock, IngestEvent&& event) {
+    std::unique_lock<std::mutex>& lock, IngestEvent&& event,
+    AdmitHook on_admit) {
   (void)lock;  // Caller holds mu_.
+  if (on_admit.fn != nullptr) on_admit.fn(on_admit.ctx);
   ring_[(head_ + count_) % capacity_] = std::move(event);
   ++count_;
   if (count_ > high_water_) high_water_ = count_;
@@ -29,18 +31,20 @@ EventQueue::PushResult EventQueue::PushLocked(
   return PushResult::kOk;
 }
 
-EventQueue::PushResult EventQueue::Push(IngestEvent event) {
+EventQueue::PushResult EventQueue::Push(IngestEvent event,
+                                        AdmitHook on_admit) {
   std::unique_lock<std::mutex> lock(mu_);
   not_full_.wait(lock, [&] { return count_ < capacity_ || closed_; });
   if (closed_) return PushResult::kClosed;
-  return PushLocked(lock, std::move(event));
+  return PushLocked(lock, std::move(event), on_admit);
 }
 
-EventQueue::PushResult EventQueue::TryPush(IngestEvent&& event) {
+EventQueue::PushResult EventQueue::TryPush(IngestEvent&& event,
+                                           AdmitHook on_admit) {
   std::unique_lock<std::mutex> lock(mu_);
   if (closed_) return PushResult::kClosed;
   if (count_ >= capacity_) return PushResult::kFull;
-  return PushLocked(lock, std::move(event));
+  return PushLocked(lock, std::move(event), on_admit);
 }
 
 EventQueue::PushResult EventQueue::PushFor(IngestEvent event,
@@ -51,7 +55,7 @@ EventQueue::PushResult EventQueue::PushFor(IngestEvent event,
     return PushResult::kFull;
   }
   if (closed_) return PushResult::kClosed;
-  return PushLocked(lock, std::move(event));
+  return PushLocked(lock, std::move(event), {});
 }
 
 size_t EventQueue::PopBatch(std::vector<IngestEvent>* out,

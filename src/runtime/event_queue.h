@@ -56,19 +56,28 @@ class EventQueue {
  public:
   enum class PushResult { kOk, kFull, kClosed };
 
+  /// Work a push runs under the queue mutex once it is admitted (space
+  /// assured, queue open), before the consumer can see the event. A push
+  /// that ends kFull or kClosed never runs it. The shard's WAL append
+  /// runs here, so an event's log record exists before it can be applied.
+  struct AdmitHook {
+    void (*fn)(void* ctx);
+    void* ctx;
+  };
+
   explicit EventQueue(size_t capacity);
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Blocks while the queue is full. kClosed if Close() ran first.
-  PushResult Push(IngestEvent event);
+  PushResult Push(IngestEvent event, AdmitHook on_admit = {});
 
   /// Never blocks: kFull when at capacity. On kFull/kClosed the event is
   /// left intact (not moved from), so a caller can park it and retry the
   /// exact same event later — the contract the server's deferred-post
   /// queue relies on.
-  PushResult TryPush(IngestEvent&& event);
+  PushResult TryPush(IngestEvent&& event, AdmitHook on_admit = {});
 
   /// Blocks up to `timeout` for space.
   PushResult PushFor(IngestEvent event, std::chrono::milliseconds timeout);
@@ -111,7 +120,7 @@ class EventQueue {
 
  private:
   PushResult PushLocked(std::unique_lock<std::mutex>& lock,
-                        IngestEvent&& event);
+                        IngestEvent&& event, AdmitHook on_admit);
 
   const size_t capacity_;
   mutable std::mutex mu_;

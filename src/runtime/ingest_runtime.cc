@@ -87,9 +87,9 @@ Status IngestRuntime::StartSequencer(const wal::RecoveredState& recovered) {
   // unregistered threads (direct Database posts, tests).
   seq_options.num_lanes = static_cast<uint32_t>(options_.num_shards) + 1;
   if (durable_) {
-    order_log_ = std::make_unique<seq::OrderLogWriter>();
+    order_log_ = std::make_unique<wal::LogWriter>();
     ODE_RETURN_IF_ERROR(order_log_->Open(
-        seq::OrderLogPath(options_.durability.dir), options_.durability));
+        seq::OrderLogPath(options_.durability.dir), 0, options_.durability));
     seq_options.order_log = order_log_.get();
     seq_options.on_log_failure = [this](const Status& status) {
       DegradeWal("sequencer order log", status);
@@ -422,8 +422,9 @@ Status IngestRuntime::Drain() {
   if (sequencer_) sequencer_->WaitDrained();
   // All workers are parked on their queues here (nothing mid-commit, as
   // long as producers honour the barrier contract), so reclaiming
-  // finished transaction records is safe.
-  if (options_.gc_finished_txns_on_drain) db_->txns().GarbageCollect();
+  // finished transaction records is safe. Keeps long runs from
+  // accumulating one Transaction record per event.
+  db_->txns().GarbageCollect();
   return Status::OK();
 }
 

@@ -16,7 +16,6 @@
 #include "runtime/event_queue.h"
 #include "runtime/metrics.h"
 #include "runtime/shard.h"
-#include "seq/order_log.h"
 #include "seq/sequencer.h"
 #include "wal/log_format.h"
 #include "wal/log_writer.h"
@@ -46,10 +45,6 @@ struct IngestOptions {
   DeadLetterFn dead_letter;
   /// Stamp events at Post and feed the enqueue→commit latency histogram.
   bool record_latency = true;
-  /// Reclaim finished transaction records at each Drain() barrier — the
-  /// one point where no worker can be mid-commit. Keeps long runs from
-  /// accumulating one Transaction record per event.
-  bool gc_finished_txns_on_drain = true;
   /// Durable event log configuration. When `durability.dir` is set, Start()
   /// recovers from whatever checkpoint + logs the directory holds, every
   /// accepted Post is appended to a per-shard WAL, and Checkpoint() is
@@ -318,7 +313,7 @@ class IngestRuntime {
   // ---- Class-scope sequencer (see docs/SEQUENCER.md) ----
   // Declaration order matters: ~Sequencer flushes through the order-log
   // writer, so the writer must outlive it.
-  std::unique_ptr<seq::OrderLogWriter> order_log_;
+  std::unique_ptr<wal::LogWriter> order_log_;
   std::unique_ptr<seq::Sequencer> sequencer_;
 };
 

@@ -1,5 +1,6 @@
 #include "runtime/shard.h"
 
+#include <optional>
 #include <utility>
 
 #include "ode/database.h"
@@ -38,28 +39,39 @@ Status Shard::Enqueue(IngestEvent&& event, bool* enqueued, bool non_blocking) {
   if (options_.record_latency) event.enqueue_ns = NowNs();
 
   // With a WAL attached, build the record up front (the push consumes the
-  // event) and hold wal_mu_ across push+append so concurrent producers
-  // cannot interleave queue order and log order differently. Replayed
-  // events are already durable in the old log and are not re-appended.
-  const bool log_event =
-      options_.wal != nullptr && !event.replayed && !event.method.empty() &&
-      !wal_degraded_.load(std::memory_order_acquire);
-  wal::WalRecord record;
-  if (log_event) {
-    record.oid = event.oid;
-    record.method = event.method;
-    record.args = event.args;
-    record.producer_id = event.producer_id;
-    record.producer_seq = event.producer_seq;
+  // event) and append it from the queue's admit hook: under the queue
+  // mutex, so queue order == log order, and before the worker can pop the
+  // event, so no commit (and no sequencer order-log record) can outrun the
+  // event's own WAL record. Replayed events are already durable in the
+  // old log and are not re-appended.
+  struct WalAppend {
+    wal::LogWriter* wal = nullptr;
+    wal::WalRecord record;
+    Status status = Status::OK();
+  };
+  std::optional<WalAppend> append;
+  EventQueue::AdmitHook on_admit{};
+  if (options_.wal != nullptr && !event.replayed && !event.method.empty() &&
+      !wal_degraded_.load(std::memory_order_acquire)) {
+    append.emplace();
+    append->wal = options_.wal;
+    append->record.oid = event.oid;
+    append->record.method = event.method;
+    append->record.args = event.args;
+    append->record.producer_id = event.producer_id;
+    append->record.producer_seq = event.producer_seq;
+    on_admit.fn = [](void* ctx) {
+      auto* a = static_cast<WalAppend*>(ctx);
+      a->status = a->wal->Append(&a->record);
+    };
+    on_admit.ctx = &*append;
   }
-  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
-  if (options_.wal != nullptr) wal_lock.lock();
 
   EventQueue::PushResult result = EventQueue::PushResult::kOk;
   switch (options_.backpressure) {
     case BackpressurePolicy::kBlock:
       if (non_blocking) {
-        result = queue_.TryPush(std::move(event));
+        result = queue_.TryPush(std::move(event), on_admit);
         if (result == EventQueue::PushResult::kFull) {
           // Deliberately unrecorded: this bounce is a park-and-retry signal
           // for the caller, not a client-visible rejection, and the same
@@ -67,18 +79,18 @@ Status Shard::Enqueue(IngestEvent&& event, bool* enqueued, bool non_blocking) {
           return Status::WouldBlock("shard queue full");
         }
       } else {
-        result = queue_.Push(std::move(event));
+        result = queue_.Push(std::move(event), on_admit);
       }
       break;
     case BackpressurePolicy::kDropNewest:
-      result = queue_.TryPush(std::move(event));
+      result = queue_.TryPush(std::move(event), on_admit);
       if (result == EventQueue::PushResult::kFull) {
         metrics_.RecordDrop();
         return Status::OK();
       }
       break;
     case BackpressurePolicy::kReject:
-      result = queue_.TryPush(std::move(event));
+      result = queue_.TryPush(std::move(event), on_admit);
       if (result == EventQueue::PushResult::kFull) {
         metrics_.RecordReject();
         return Status::WouldBlock("shard queue full");
@@ -94,16 +106,13 @@ Status Shard::Enqueue(IngestEvent&& event, bool* enqueued, bool non_blocking) {
     std::lock_guard<std::mutex> lock(drain_mu_);
     ++enqueued_;
   }
-  if (log_event) {
+  if (append && !append->status.ok()) {
     // The event is committed to the queue either way; an append failure
     // (sticky in the writer) permanently switches this shard to in-memory
     // mode. The event flows on — losing durability must not lose events —
     // and the runtime's escalation hook makes the degradation loud.
-    Status logged = options_.wal->Append(&record);
-    if (!logged.ok()) {
-      wal_degraded_.store(true, std::memory_order_release);
-      if (options_.on_wal_failure) options_.on_wal_failure(logged);
-    }
+    wal_degraded_.store(true, std::memory_order_release);
+    if (options_.on_wal_failure) options_.on_wal_failure(append->status);
   }
   return Status::OK();
 }

@@ -85,8 +85,8 @@ class Shard {
   /// the event actually entered the queue (false for drops/rejects), which
   /// is what exactly-once dedup keys on — a dropped event was NOT applied.
   /// With a WAL attached, accepted non-replayed events are appended to the
-  /// log inside the same critical section as the queue push (log order ==
-  /// queue order). The first log I/O failure (sticky in the writer)
+  /// log under the queue mutex before the worker can pop them (log order
+  /// == queue order, and the record precedes the event's commit). The first log I/O failure (sticky in the writer)
   /// permanently disables this shard's logging, fires on_wal_failure, and
   /// is swallowed: the event is already queued and will be processed, so
   /// ingestion continues in degraded (in-memory) mode.
@@ -165,12 +165,8 @@ class Shard {
   uint64_t enqueued_ = 0;
   uint64_t completed_ = 0;
 
-  /// Serializes producers through the push+WAL-append critical section so
-  /// the log's record order matches the queue's event order. Uncontended
-  /// (and untaken) when no WAL is attached.
-  std::mutex wal_mu_;
-  /// Latched by the first WAL append failure (under wal_mu_); read lock-free
-  /// by monitoring.
+  /// Latched by the first WAL append failure; read lock-free by
+  /// monitoring.
   std::atomic<bool> wal_degraded_{false};
 
   // Pause protocol state: pause_requested_ is the producer-side flag the

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ode/database.h"
+#include "seq/order_log.h"
 
 namespace ode {
 namespace seq {
@@ -276,7 +277,9 @@ void Sequencer::ApplyOne(SeqEvent& event) {
   // once through the runtime's wal-degrade hook.
   if (options_.order_log != nullptr &&
       !log_failed_.load(std::memory_order_relaxed)) {
-    Status s = options_.order_log->Append(event);
+    log_payload_.clear();
+    Status s = EncodeOrderPayload(&log_payload_, event);
+    if (s.ok()) s = options_.order_log->AppendPayload(log_payload_);
     if (!s.ok()) {
       log_failed_.store(true, std::memory_order_relaxed);
       if (options_.on_log_failure) options_.on_log_failure(s);

@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "seq/order_log.h"
 #include "seq/seq_event.h"
 #include "seq/seq_queue.h"
 #include "seq/sequencer_metrics.h"
+#include "wal/log_writer.h"
 
 namespace ode {
 
@@ -65,8 +65,8 @@ class Sequencer {
     int lock_retry_limit = 1000;
     int lock_retry_sleep_us = 50;
     /// Optional durable order log (owned by the caller, must outlive the
-    /// sequencer). Written *behind* each apply.
-    OrderLogWriter* order_log = nullptr;
+    /// sequencer; see seq/order_log.h). Written *behind* each apply.
+    wal::LogWriter* order_log = nullptr;
     /// Invoked once, off the hot path, when the order log fails sticky
     /// (the runtime escalates to wal-degraded mode).
     std::function<void(const Status&)> on_log_failure;
@@ -224,6 +224,7 @@ class Sequencer {
   std::atomic<uint64_t> backlog_{0};  ///< pending_.size(), for metrics.
 
   std::atomic<bool> log_failed_{false};
+  std::string log_payload_;  ///< Order-log encode scratch (merge thread).
 
   mutable std::mutex drain_mu_;
   std::condition_variable drained_cv_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/strutil.h"
 #include "ode/snapshot_codec.h"
 
@@ -28,75 +28,6 @@ const std::array<uint32_t, 256>& CrcTable() {
   return table;
 }
 
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v));
-  out->push_back(static_cast<char>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v));
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint8_t>(p[0]) |
-         (uint32_t{static_cast<uint8_t>(p[1])} << 8) |
-         (uint32_t{static_cast<uint8_t>(p[2])} << 16) |
-         (uint32_t{static_cast<uint8_t>(p[3])} << 24);
-}
-
-/// Bounds-checked reader over a record payload (same discipline as the
-/// wire Cursor: a failed read latches ok_ false and reads nothing).
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU16(uint16_t* v) {
-    if (pos_ + 2 > size_) return Fail();
-    *v = static_cast<uint16_t>(static_cast<uint8_t>(data_[pos_]) |
-                               (uint16_t{static_cast<uint8_t>(
-                                    data_[pos_ + 1])}
-                                << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return Fail();
-    uint64_t r = 0;
-    for (int i = 7; i >= 0; --i) {
-      r = (r << 8) | static_cast<uint8_t>(data_[pos_ + i]);
-    }
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string* v) {
-    if (n > size_ || pos_ > size_ - n) return Fail();
-    v->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  bool Fail() {
-    ok_ = false;
-    return false;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
@@ -119,7 +50,41 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "?";
 }
 
-Status AppendRecord(std::string* out, const WalRecord& record) {
+void AppendFrame(std::string* out, std::string_view payload) {
+  PutU32(out, static_cast<uint32_t>(payload.size()));
+  PutU32(out, Crc32(payload.data(), payload.size()));
+  out->append(payload);
+}
+
+DecodeStatus DecodeFrame(const char* data, size_t size,
+                         std::string_view* payload, size_t* consumed,
+                         std::string* error) {
+  *consumed = 0;
+  if (size < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
+  ByteReader header(data, kFrameHeaderBytes);
+  uint32_t payload_len = 0, declared_crc = 0;
+  header.ReadU32(&payload_len);
+  header.ReadU32(&declared_crc);
+  if (payload_len > kMaxWalPayload) {
+    if (error != nullptr) {
+      *error = StrFormat("record length %u exceeds limit %zu", payload_len,
+                         kMaxWalPayload);
+    }
+    return DecodeStatus::kCorrupt;
+  }
+  if (size < kFrameHeaderBytes + static_cast<size_t>(payload_len)) {
+    return DecodeStatus::kNeedMore;
+  }
+  *payload = std::string_view(data + kFrameHeaderBytes, payload_len);
+  if (Crc32(payload->data(), payload->size()) != declared_crc) {
+    if (error != nullptr) *error = "record CRC mismatch";
+    return DecodeStatus::kCorrupt;
+  }
+  *consumed = kFrameHeaderBytes + static_cast<size_t>(payload_len);
+  return DecodeStatus::kRecord;
+}
+
+Status EncodeRecordPayload(std::string* out, const WalRecord& record) {
   if (record.method.size() > kMaxWalMethodLen) {
     return Status::InvalidArgument(
         StrFormat("wal record method is %zu bytes, limit %zu",
@@ -135,59 +100,36 @@ Status AppendRecord(std::string* out, const WalRecord& record) {
         StrFormat("wal producer id is %zu bytes, limit %zu",
                   record.producer_id.size(), kMaxWalIdentityLen));
   }
-  std::string payload;
-  payload.reserve(32 + record.method.size() + record.producer_id.size());
-  PutU64(&payload, record.lsn);
-  PutU64(&payload, record.oid.id);
-  PutU64(&payload, record.producer_seq);
-  PutU16(&payload, static_cast<uint16_t>(record.producer_id.size()));
-  payload.append(record.producer_id);
-  PutU16(&payload, static_cast<uint16_t>(record.method.size()));
-  payload.append(record.method);
-  PutU16(&payload, static_cast<uint16_t>(record.args.size()));
+  const size_t start = out->size();
+  PutU64(out, record.lsn);
+  PutU64(out, record.oid.id);
+  PutU64(out, record.producer_seq);
+  PutU16(out, static_cast<uint16_t>(record.producer_id.size()));
+  out->append(record.producer_id);
+  PutU16(out, static_cast<uint16_t>(record.method.size()));
+  out->append(record.method);
+  PutU16(out, static_cast<uint16_t>(record.args.size()));
   for (const Value& v : record.args) {
     std::string text = EncodeSnapshotValue(v);
     if (text.size() > UINT16_MAX) {
       return Status::InvalidArgument("wal record arg value too large");
     }
-    PutU16(&payload, static_cast<uint16_t>(text.size()));
-    payload.append(text);
+    PutU16(out, static_cast<uint16_t>(text.size()));
+    out->append(text);
   }
-  if (payload.size() > kMaxWalPayload) {
+  const size_t payload_size = out->size() - start;
+  if (payload_size > kMaxWalPayload) {
     return Status::InvalidArgument(
         StrFormat("wal record payload is %zu bytes, limit %zu",
-                  payload.size(), kMaxWalPayload));
+                  payload_size, kMaxWalPayload));
   }
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload.data(), payload.size()));
-  out->append(payload);
   return Status::OK();
 }
 
-DecodeStatus DecodeRecord(const char* data, size_t size, WalRecord* out,
-                          size_t* consumed, std::string* error) {
-  *consumed = 0;
-  if (size < 8) return DecodeStatus::kNeedMore;
-  const uint32_t payload_len = GetU32(data);
-  if (payload_len > kMaxWalPayload) {
-    if (error != nullptr) {
-      *error = StrFormat("record length %u exceeds limit %zu", payload_len,
-                         kMaxWalPayload);
-    }
-    return DecodeStatus::kCorrupt;
-  }
-  if (size < 8 + static_cast<size_t>(payload_len)) {
-    return DecodeStatus::kNeedMore;
-  }
-  const uint32_t declared_crc = GetU32(data + 4);
-  const char* payload = data + 8;
-  if (Crc32(payload, payload_len) != declared_crc) {
-    if (error != nullptr) *error = "record CRC mismatch";
-    return DecodeStatus::kCorrupt;
-  }
-
+bool DecodeRecordPayload(std::string_view payload, WalRecord* out,
+                         std::string* error) {
   *out = WalRecord{};
-  Reader in(payload, payload_len);
+  ByteReader in(payload.data(), payload.size());
   uint64_t oid = 0;
   uint16_t id_len = 0, method_len = 0, argc = 0;
   bool ok = in.ReadU64(&out->lsn) && in.ReadU64(&oid) &&
@@ -218,9 +160,27 @@ DecodeStatus DecodeRecord(const char* data, size_t size, WalRecord* out,
     // The CRC matched, so this is a writer bug or a deliberately crafted
     // payload rather than disk rot — still corrupt from the reader's view.
     if (error != nullptr) *error = "record payload malformed";
+    return false;
+  }
+  return true;
+}
+
+Status AppendRecord(std::string* out, const WalRecord& record) {
+  std::string payload;
+  ODE_RETURN_IF_ERROR(EncodeRecordPayload(&payload, record));
+  AppendFrame(out, payload);
+  return Status::OK();
+}
+
+DecodeStatus DecodeRecord(const char* data, size_t size, WalRecord* out,
+                          size_t* consumed, std::string* error) {
+  std::string_view payload;
+  DecodeStatus s = DecodeFrame(data, size, &payload, consumed, error);
+  if (s != DecodeStatus::kRecord) return s;
+  if (!DecodeRecordPayload(payload, out, error)) {
+    *consumed = 0;
     return DecodeStatus::kCorrupt;
   }
-  *consumed = 8 + static_cast<size_t>(payload_len);
   return DecodeStatus::kRecord;
 }
 

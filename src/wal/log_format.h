@@ -70,22 +70,41 @@ inline constexpr size_t kMaxWalMethodLen = 4096;
 inline constexpr size_t kMaxWalArgs = 1024;
 inline constexpr size_t kMaxWalIdentityLen = 256;
 
-/// On-disk framing: u32 payload_len | u32 crc32(payload) | payload, all
-/// little-endian. The payload is
+/// On-disk framing shared by the shard WAL and the sequencer order log:
+/// u32 payload_len | u32 crc32(payload) | payload, all little-endian.
+inline constexpr size_t kFrameHeaderBytes = 8;
+
+/// Appends one frame around `payload` to *out.
+void AppendFrame(std::string* out, std::string_view payload);
+
+enum class DecodeStatus {
+  kRecord,    ///< One whole frame (record) decoded; *consumed advanced.
+  kNeedMore,  ///< The buffer ends mid-frame (torn tail).
+  kCorrupt,   ///< Framing, CRC or payload violation at the cursor; see *error.
+};
+
+/// Decodes one frame from [data, data+size). On kRecord, *payload views the
+/// CRC-checked payload inside `data` and *consumed is the framed size.
+/// kNeedMore/kCorrupt leave *consumed at 0.
+DecodeStatus DecodeFrame(const char* data, size_t size,
+                         std::string_view* payload, size_t* consumed,
+                         std::string* error);
+
+/// The WalRecord payload:
 ///   u64 lsn | u64 oid | u64 producer_seq | u16 id_len | id
 ///   | u16 method_len | method | u16 argc | argc x (u16 len | value-text)
 /// where value-text is the snapshot value codec (ode/snapshot_codec.h).
-/// kInvalidArgument when the record exceeds the caps; *out untouched.
+/// Appends to *out; kInvalidArgument when the record exceeds the caps.
+Status EncodeRecordPayload(std::string* out, const WalRecord& record);
+/// False (with *error set when non-null) on a malformed payload.
+bool DecodeRecordPayload(std::string_view payload, WalRecord* out,
+                         std::string* error);
+
+/// One framed WalRecord. kInvalidArgument when the record exceeds the
+/// caps; *out untouched.
 Status AppendRecord(std::string* out, const WalRecord& record);
 
-enum class DecodeStatus {
-  kRecord,    ///< *out holds the next record; *consumed advanced.
-  kNeedMore,  ///< The buffer ends mid-record (torn tail).
-  kCorrupt,   ///< Framing or CRC violation at the cursor; see *error.
-};
-
-/// Decodes one record from [data, data+size). On kRecord, *consumed is the
-/// framed size. kNeedMore/kCorrupt leave *consumed at 0.
+/// Decodes one framed WalRecord from [data, data+size); see DecodeFrame.
 DecodeStatus DecodeRecord(const char* data, size_t size, WalRecord* out,
                           size_t* consumed, std::string* error);
 

@@ -16,31 +16,32 @@
 namespace ode {
 namespace wal {
 
-Result<LogReadResult> ReadLogFile(const std::string& path) {
+Status ScanLogFile(
+    const std::string& path, LogScan* scan,
+    const std::function<bool(std::string_view payload, std::string* error)>&
+        decode) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::string bytes = buf.str();
+  const std::string bytes = buf.str();
 
-  LogReadResult result;
-  result.total_bytes = bytes.size();
+  scan->total_bytes = bytes.size();
   size_t pos = 0;
   while (pos < bytes.size()) {
-    WalRecord record;
+    std::string_view payload;
     size_t consumed = 0;
     std::string error;
-    DecodeStatus s = DecodeRecord(bytes.data() + pos, bytes.size() - pos,
-                                  &record, &consumed, &error);
-    if (s == DecodeStatus::kRecord) {
-      result.records.push_back(std::move(record));
+    DecodeStatus s = DecodeFrame(bytes.data() + pos, bytes.size() - pos,
+                                 &payload, &consumed, &error);
+    if (s == DecodeStatus::kRecord && decode(payload, &error)) {
       pos += consumed;
       continue;
     }
-    result.torn = true;
-    result.torn_error =
+    scan->torn = true;
+    scan->torn_error =
         s == DecodeStatus::kNeedMore
             ? StrFormat("torn record at offset %zu (file ends mid-record)",
                         pos)
@@ -48,7 +49,19 @@ Result<LogReadResult> ReadLogFile(const std::string& path) {
                         error.c_str());
     break;
   }
-  result.valid_bytes = pos;
+  scan->valid_bytes = pos;
+  return Status::OK();
+}
+
+Result<LogReadResult> ReadLogFile(const std::string& path) {
+  LogReadResult result;
+  ODE_RETURN_IF_ERROR(ScanLogFile(
+      path, &result, [&](std::string_view payload, std::string* error) {
+        WalRecord record;
+        if (!DecodeRecordPayload(payload, &record, error)) return false;
+        result.records.push_back(std::move(record));
+        return true;
+      }));
   return result;
 }
 

@@ -79,22 +79,29 @@ Status LogWriter::WriteFully(const char* data, size_t size) {
 }
 
 Status LogWriter::Append(WalRecord* record) {
+  record->lsn = last_lsn_.load(std::memory_order_relaxed) + 1;
+  payload_.clear();
+  ODE_RETURN_IF_ERROR(EncodeRecordPayload(&payload_, *record));
+  return AppendPayload(payload_);
+}
+
+Status LogWriter::AppendPayload(std::string_view payload) {
   if (fd_ < 0) return Status::FailedPrecondition("wal writer is not open");
   if (has_failed_.load(std::memory_order_acquire)) return GetFailed();
-  record->lsn = last_lsn_.load(std::memory_order_relaxed) + 1;
-  buf_.clear();
-  ODE_RETURN_IF_ERROR(AppendRecord(&buf_, *record));
   if (buffered()) {
     // Group commit: stage the framed record in memory; the flusher turns
     // whole groups into one write + one fsync. The poster pays a memcpy.
     std::lock_guard<std::mutex> lock(buf_mu_);
-    pending_.append(buf_);
+    AppendFrame(&pending_, payload);
   } else {
+    buf_.clear();
+    AppendFrame(&buf_, payload);
     ODE_RETURN_IF_ERROR(WriteFully(buf_.data(), buf_.size()));
   }
   last_lsn_.fetch_add(1, std::memory_order_relaxed);
   appends_.fetch_add(1, std::memory_order_relaxed);
-  bytes_written_.fetch_add(buf_.size(), std::memory_order_relaxed);
+  bytes_written_.fetch_add(kFrameHeaderBytes + payload.size(),
+                           std::memory_order_relaxed);
   uint64_t unsynced =
       unsynced_records_.fetch_add(1, std::memory_order_relaxed) + 1;
 

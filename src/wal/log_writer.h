@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/status.h"
@@ -15,11 +16,11 @@
 namespace ode {
 namespace wal {
 
-/// Appender over one shard's log file. Append is not internally
-/// synchronized: the owning Shard serializes it under its wal mutex
-/// (which also pins queue order == log order), and checkpoint/truncate
-/// runs only while the shard is paused and producers are gated out of
-/// Post.
+/// Appender over one framed log file: a shard's WAL, or the sequencer's
+/// order log. Appends are not internally synchronized: a shard appends
+/// under its queue mutex (which also pins queue order == log order), the
+/// sequencer only from its merge thread, and checkpoint/truncate runs only
+/// while shards are paused and producers are gated out of Post.
 ///
 /// Group commit: under kEveryN and kEveryMs, Append only copies the
 /// framed record into an in-memory buffer; a background flusher thread
@@ -43,10 +44,14 @@ class LogWriter {
   Status Open(const std::string& path, uint64_t start_lsn,
               const WalOptions& options);
 
-  /// Assigns the next lsn to `record`, appends the framed record, and
-  /// applies the fsync policy. On an I/O failure the log is no longer
-  /// trusted and subsequent Appends fail fast with the same error.
+  /// Assigns the next lsn to `record`, encodes it, and appends it with
+  /// AppendPayload.
   Status Append(WalRecord* record);
+
+  /// Appends one framed payload, counts it as the next lsn, and applies
+  /// the fsync policy. On an I/O failure the log is no longer trusted and
+  /// subsequent appends fail fast with the same error.
+  Status AppendPayload(std::string_view payload);
 
   /// Fsync barrier: flushes anything the policy left unsynced.
   Status Sync();
@@ -93,7 +98,8 @@ class LogWriter {
   std::atomic<uint64_t> bytes_written_{0};
   /// Records not yet known to be on disk (buffered or written-unsynced).
   std::atomic<uint64_t> unsynced_records_{0};
-  std::string buf_;  ///< Encode scratch, reused per append.
+  std::string payload_;  ///< Record encode scratch, reused per Append.
+  std::string buf_;      ///< Frame scratch for the write-through policies.
 
   // Sticky first I/O failure, shared between poster and flusher.
   std::atomic<bool> has_failed_{false};

@@ -16,6 +16,8 @@
 
 #include "ode/database.h"
 #include "seq/order_log.h"
+#include "wal/log_reader.h"
+#include "wal/log_writer.h"
 #include "test_util.h"
 
 namespace ode {
@@ -261,7 +263,7 @@ TEST(SequencerTest, ActivationQuiescesUnderConcurrentPosting) {
   db.DetachSequencer();
 }
 
-TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
+void CheckOrderLogRecovery(wal::FsyncPolicy policy) {
   const std::string dir = TempDir("orderlog");
   const std::string path = seq::OrderLogPath(dir);
   constexpr int kAdds = 25;  // Not a multiple of 3: automaton ends mid-count.
@@ -275,10 +277,11 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
     Oid oid = MakeObject(&db);
     ODE_ASSERT_OK(db.ActivateClassTrigger("scell", "CT"));
 
-    seq::OrderLogWriter writer;
+    wal::LogWriter writer;
     wal::WalOptions wal_options;
-    wal_options.fsync = wal::FsyncPolicy::kAlways;
-    ODE_ASSERT_OK(writer.Open(path, wal_options));
+    wal_options.fsync = policy;
+    wal_options.fsync_every_n = 4;
+    ODE_ASSERT_OK(writer.Open(path, 0, wal_options));
 
     seq::Sequencer::Options options;
     options.num_lanes = 2;
@@ -361,6 +364,137 @@ TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
 
   std::remove(path.c_str());
   std::remove(dir.c_str());
+}
+
+TEST(SequencerTest, OrderLogRecoveryReproducesFirings) {
+  for (wal::FsyncPolicy policy :
+       {wal::FsyncPolicy::kAlways, wal::FsyncPolicy::kEveryN,
+        wal::FsyncPolicy::kEveryMs}) {
+    SCOPED_TRACE(wal::FsyncPolicyName(policy));
+    CheckOrderLogRecovery(policy);
+  }
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+seq::SeqEvent SampleOrderEvent(uint64_t lane_seq) {
+  seq::SeqEvent e;
+  e.class_id = 5;
+  e.oid = Oid{9};
+  e.lane = 1;
+  e.lane_seq = lane_seq;
+  e.event.method_name = "add";
+  e.event.object = Oid{9};
+  e.event.args = {EventArg{"d", Value(2)}};
+  e.event.txn = 11;
+  e.event.time = 13;
+  e.event.seq = 4;
+  e.syms = {seq::SeqSym{0, 3}};
+  return e;
+}
+
+TEST(OrderLogTest, GoldenBytes) {
+  // Bytes written by the original order-log encoder: seqorder.log files
+  // written before an upgrade must keep replaying.
+  std::string payload;
+  ODE_ASSERT_OK(seq::EncodeOrderPayload(&payload, SampleOrderEvent(7)));
+  std::string framed;
+  wal::AppendFrame(&framed, payload);
+  EXPECT_EQ(Hex(framed),
+            "4f000000d4e9867b010000000700000000000000050000000900000000000000"
+            "0501030061646400000b000000000000000d0000000000000004000000000000"
+            "000100000000000300000001000100640500696e743a32");
+
+  seq::SeqEvent out;
+  std::string error;
+  ASSERT_TRUE(seq::DecodeOrderPayload(payload, &out, &error)) << error;
+  EXPECT_EQ(out.lane_seq, 7u);
+  EXPECT_EQ(out.event.method_name, "add");
+  ASSERT_EQ(out.event.args.size(), 1u);
+  EXPECT_EQ(out.event.args[0].value.AsInt().value(), 2);
+}
+
+/// Writes `n` order records through a kAlways wal::LogWriter and returns
+/// the framed size of the first.
+uint64_t WriteOrderLog(const std::string& path, int n) {
+  wal::LogWriter writer;
+  wal::WalOptions options;
+  options.fsync = wal::FsyncPolicy::kAlways;
+  EXPECT_TRUE(writer.Open(path, 0, options).ok());
+  uint64_t first_bytes = 0;
+  for (int i = 1; i <= n; ++i) {
+    std::string payload;
+    EXPECT_TRUE(seq::EncodeOrderPayload(&payload, SampleOrderEvent(i)).ok());
+    EXPECT_TRUE(writer.AppendPayload(payload).ok());
+    if (i == 1) first_bytes = writer.bytes_written();
+  }
+  return first_bytes;
+}
+
+TEST(OrderLogTest, TornTailIsReportedAndPrefixKept) {
+  const std::string dir = TempDir("ordertorn");
+  const std::string path = seq::OrderLogPath(dir);
+  WriteOrderLog(path, 4);
+  Result<seq::OrderLogReadResult> whole = seq::ReadOrderLog(path);
+  ODE_ASSERT_OK(whole.status());
+  ASSERT_EQ(whole->records.size(), 4u);
+  EXPECT_FALSE(whole->torn);
+
+  // Cut the file mid-way through the last record: a crash torn tail.
+  ODE_ASSERT_OK(wal::TruncateLogFile(path, whole->total_bytes - 5));
+  Result<seq::OrderLogReadResult> torn = seq::ReadOrderLog(path);
+  ODE_ASSERT_OK(torn.status());
+  EXPECT_TRUE(torn->torn);
+  ASSERT_EQ(torn->records.size(), 3u);
+  EXPECT_EQ(torn->records.back().lane_seq, 3u);
+  EXPECT_GT(torn->torn_bytes(), 0u);
+
+  ODE_ASSERT_OK(wal::TruncateLogFile(path, torn->valid_bytes));
+  Result<seq::OrderLogReadResult> repaired = seq::ReadOrderLog(path);
+  ODE_ASSERT_OK(repaired.status());
+  EXPECT_FALSE(repaired->torn);
+  EXPECT_EQ(repaired->records.size(), 3u);
+  std::remove(path.c_str());
+  std::remove(dir.c_str());
+}
+
+TEST(OrderLogTest, BitFlippedRecordCutsTheLog) {
+  const std::string dir = TempDir("orderflip");
+  const std::string path = seq::OrderLogPath(dir);
+  const uint64_t first_bytes = WriteOrderLog(path, 3);
+  // Flip a bit inside the second record's payload.
+  FILE* f = fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fseek(f, static_cast<long>(first_bytes) + 12, SEEK_SET), 0);
+  int c = fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(fseek(f, -1, SEEK_CUR), 0);
+  fputc(c ^ 0x01, f);
+  fclose(f);
+
+  Result<seq::OrderLogReadResult> log = seq::ReadOrderLog(path);
+  ODE_ASSERT_OK(log.status());
+  EXPECT_TRUE(log->torn);
+  ASSERT_EQ(log->records.size(), 1u);  // Only the intact prefix survives.
+  EXPECT_EQ(log->valid_bytes, first_bytes);
+  std::remove(path.c_str());
+  std::remove(dir.c_str());
+}
+
+TEST(OrderLogTest, MissingFileReadsEmpty) {
+  Result<seq::OrderLogReadResult> log =
+      seq::ReadOrderLog("/nonexistent-dir/seqorder.log");
+  ODE_ASSERT_OK(log.status());
+  EXPECT_TRUE(log->records.empty());
+  EXPECT_FALSE(log->torn);
 }
 
 TEST(SequencerTest, RestoreLaneCountersResumesNumbering) {

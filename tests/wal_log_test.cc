@@ -7,6 +7,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -145,6 +146,33 @@ TEST(WalRecordTest, EncodeDecodeRoundtrip) {
   EXPECT_EQ(out.args[0].AsInt().value(), 7);
   EXPECT_EQ(out.producer_id, "client-a");
   EXPECT_EQ(out.producer_seq, 19u);
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+TEST(WalRecordTest, GoldenBytes) {
+  // Bytes written by the original shard-WAL encoder: the on-disk format
+  // must not move, or logs written before an upgrade stop replaying.
+  WalRecord in;
+  in.lsn = 3;
+  in.oid = Oid{42};
+  in.method = "add";
+  in.args = {Value(7), Value("hi")};
+  in.producer_id = "client-a";
+  in.producer_seq = 19;
+  std::string buf;
+  ODE_ASSERT_OK(wal::AppendRecord(&buf, in));
+  EXPECT_EQ(Hex(buf),
+            "380000007517fcd203000000000000002a000000000000001300000000000000"
+            "0800636c69656e742d61030061646402000500696e743a3706007374723a6869");
 }
 
 TEST(WalRecordTest, RejectsOverCapRecords) {
@@ -509,6 +537,50 @@ TEST(DurableRuntimeTest, CleanRestartRestoresStateWithoutReplay) {
     EXPECT_GE(rt.Metrics().total.processed, static_cast<uint64_t>(kEvents));
     ODE_ASSERT_OK(rt.Stop());
   }
+}
+
+TEST(DurableRuntimeTest, WalRecordIsWrittenBeforeTheEventRuns) {
+  // An event's shard-WAL record must exist before the worker can apply it:
+  // otherwise a kill between the commit and the append leaves effects
+  // (and, for class-scope triggers, order-log records) that the WAL does
+  // not cover. One shard and one producer, so event i runs only after
+  // exactly i appends — if the append came first.
+  TempDir dir;
+  Database db;
+  IngestRuntime* runtime = nullptr;
+  std::atomic<int> ran_before_append{0};
+  ClassDef def("probe");
+  def.AddAttr("n", Value(0));
+  def.AddMethod(MethodDef{
+      "note",
+      {{"int", "i"}},
+      MethodKind::kUpdate,
+      [&](MethodContext* ctx) -> Status {
+        ODE_ASSIGN_OR_RETURN(Value i, ctx->Arg("i"));
+        if (runtime->Metrics().wal.appends <
+            static_cast<uint64_t>(i.AsInt().value())) {
+          ran_before_append.fetch_add(1);
+        }
+        return ctx->Set("n", i);
+      }});
+  ASSERT_TRUE(db.RegisterClass(std::move(def)).status().ok());
+  TxnId t = db.Begin().value();
+  Oid oid = db.New(t, "probe").value();
+  ODE_ASSERT_OK(db.Commit(t));
+
+  IngestOptions o = DurableOptions(dir.path());
+  o.num_shards = 1;
+  IngestRuntime rt(&db, o);
+  runtime = &rt;
+  ODE_ASSERT_OK(rt.Start());
+  constexpr int kEvents = 200;
+  for (int i = 1; i <= kEvents; ++i) {
+    ODE_ASSERT_OK(rt.Post(oid, "note", {Value(i)}));
+  }
+  ODE_ASSERT_OK(rt.Drain());
+  EXPECT_EQ(rt.Metrics().wal.appends, static_cast<uint64_t>(kEvents));
+  EXPECT_EQ(ran_before_append.load(), 0);
+  ODE_ASSERT_OK(rt.Stop());
 }
 
 TEST(DurableRuntimeTest, StopWithoutCheckpointReplaysTheLog) {
